@@ -61,7 +61,10 @@ AnalysisResult scmo::runAnalysis(Program &P, Loader &L,
 
   auto ScanOne = [&](size_t I) {
     RoutineId R = Ids[I];
-    RoutineBody &Body = L.acquire(R);
+    // Read-only pin: analysis never mutates a body, and a mutable pin would
+    // drop the pool's cached summary and its clean-since-repository mark,
+    // so every later eviction would re-summarize and re-encode it.
+    const RoutineBody &Body = L.acquireRead(R);
     DiagnosticEngine Verify;
     bool Clean =
         !Opts.Verify || verifyRoutine(P, R, Body, Verify, Opts.NumProbes);
@@ -84,13 +87,13 @@ AnalysisResult scmo::runAnalysis(Program &P, Loader &L,
     Pool.parallelFor(Ids.size(), ScanOne);
     Result.RoutinesRescanned = Ids.size();
   } else {
-    // Warm path. Hashing touches every body (acquire + content hash — cheap
+    // Warm path. Hashing touches every body (read pin + content hash — cheap
     // next to verify plus four dataflow solves), then whole modules are
     // either replayed from their artifact or rescanned and stored.
     std::vector<uint64_t> Hashes(P.numRoutines(), 0);
     Pool.parallelFor(Ids.size(), [&](size_t I) {
       RoutineId R = Ids[I];
-      RoutineBody &Body = L.acquire(R);
+      const RoutineBody &Body = L.acquireRead(R);
       Hashes[R] = contentHash(P, Body);
       L.release(R);
     });

@@ -7,6 +7,8 @@
 
 #include "hlo/Wpa.h"
 
+#include "bytecode/Compact.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -235,17 +237,24 @@ struct WpaPlanner::Impl {
     return F;
   }
 
-  /// Deep-copies \p R's pristine body into the plan's snapshot table (a
-  /// clone resolves to its origin's pristine body; versions are replayed
-  /// from these at application time). Serial phase only.
+  /// Encodes \p R's pristine body into the plan's snapshot table in the
+  /// NAIM compact form (a clone resolves to its origin's pristine body;
+  /// versions are decoded and replayed from these at application time).
+  /// Charged to hlo-derived, not hlo-compact: the loader's offload
+  /// threshold reads the hlo-compact total, and the plan's images must not
+  /// shift loader traffic. Serial phase only.
   void ensureSnapshot(RoutineId R) {
     if (const PlannedClone *PC = Plan.cloneFor(R))
       R = PC->Origin;
     if (Plan.Snapshots.count(R))
       return;
     const RoutineBody &Src = Ctx.L.acquireRead(R);
-    Plan.Snapshots.emplace(R, copyRoutineBody(Src, Ctx.P.tracker()));
+    TrackedBuffer Image(Ctx.P.tracker(), MemCategory::HloDerived);
+    Image.assign(compactRoutine(Src));
     Ctx.L.release(R);
+    Ctx.Stats.add("wpa.snapshots");
+    Ctx.Stats.add("wpa.snapshot_bytes", Image.size());
+    Plan.Snapshots.emplace(R, std::move(Image));
   }
 
   /// Ordinal of the site at (\p TB, \p TP) among calls to its current
@@ -822,7 +831,8 @@ const RoutineBody &materializeVersion(Program &P, RoutineId R,
       Body->Blocks[0].Instrs.insert(Body->Blocks[0].Instrs.begin(), MovI);
     }
   } else {
-    Body = copyRoutineBody(*Plan.Snapshots.at(R), P.tracker());
+    Body = expandRoutine(Plan.Snapshots.at(R).bytes(), P.tracker());
+    assert(Body && "corrupt WPA snapshot image");
   }
   applyPlanPrefix(P, *Body, R, Version, Plan, Cache);
   // Insert after the recursive calls above: they may not invalidate the

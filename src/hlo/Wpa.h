@@ -28,8 +28,9 @@
 /// (possibly concurrently transformed) bodies. Each inline directive
 /// records how many of the callee's own directives had been planned when
 /// the inline was decided; application reconstructs the callee at exactly
-/// that state by replaying its plan prefix (IPCP entry constants, then the
-/// first N directives) onto its pristine snapshot. The replay is purely
+/// that state by decoding its pristine snapshot (kept in the NAIM compact
+/// form, like every parked pool) and replaying its plan prefix (IPCP entry
+/// constants, then the first N directives) onto it. The replay is purely
 /// plan-driven, so any partition can rebuild any callee version without
 /// looking at another partition's work — this preserves the serial
 /// optimizer's semantics (inlined copies carry the callee's redirects,
@@ -106,11 +107,13 @@ struct HloPlan {
   /// Clones keyed by their (pre-declared) routine id.
   std::map<RoutineId, PlannedClone> Clones;
 
-  /// Pristine deep copies of every routine the plan inlines or clones from,
-  /// keyed by callee id (clone callees resolve through their origin's
-  /// snapshot). Versioned callee bodies are replayed from these on demand.
-  /// Read-only during LTRANS — safe to share across workers.
-  std::map<RoutineId, std::unique_ptr<RoutineBody>> Snapshots;
+  /// Pristine compact images (compactRoutine, identity remap) of every
+  /// routine the plan inlines or clones from, keyed by callee id (clone
+  /// callees resolve through their origin's snapshot), charged to
+  /// hlo-derived. Versioned callee bodies are decoded and replayed from
+  /// these on demand. Read-only during LTRANS — safe to share across
+  /// workers.
+  std::map<RoutineId, TrackedBuffer> Snapshots;
 
   /// The LTRANS carve-up. Clones are partitioned as ordinary graph nodes —
   /// their call edges pull them toward their callers, not their origins.
@@ -133,8 +136,8 @@ struct HloPlan {
   }
 };
 
-/// Deep-copies \p Src into a fresh body charged to \p Tracker (the cloner's
-/// specialization copy and the planner's callee snapshots).
+/// Deep-copies \p Src into a fresh body charged to \p Tracker (clone
+/// materialization and versioned-callee replay).
 std::unique_ptr<RoutineBody> copyRoutineBody(const RoutineBody &Src,
                                              MemoryTracker *Tracker);
 

@@ -139,6 +139,10 @@ public:
     std::lock_guard<std::mutex> L(M);
     return CacheOrder.size();
   }
+  std::vector<RoutineId> compactPools() const {
+    std::lock_guard<std::mutex> L(M);
+    return {CompactPools.begin(), CompactPools.end()};
+  }
   bool degraded() const { return SpillDisabled.load(Relaxed); }
   Status firstError() const {
     std::lock_guard<std::mutex> L(M);
@@ -217,6 +221,9 @@ private:
   void evictOneLocked(std::unique_lock<std::mutex> &L);
   void offloadOverBudgetLocked(std::unique_lock<std::mutex> &L);
 
+  /// Moves pool \p R to state \p St, keeping CompactPools in step. Every
+  /// loader-side state change goes through here.
+  void setStateLocked(RoutineId R, PoolState St);
   void compactPool(RoutineId R, std::unique_lock<std::mutex> &L);
   void offloadPool(RoutineId R, std::unique_lock<std::mutex> &L);
   void storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
@@ -251,6 +258,10 @@ private:
   /// tie-break is unreachable (ticks are unique) but keeps the comparator
   /// total.
   std::set<std::pair<uint64_t, RoutineId>> CacheOrder;
+  /// Ids of this shard's pools in PoolState::Compact, ascending: the
+  /// offload stage's deterministic visiting order, without a walk over the
+  /// whole routine table. Maintained by setStateLocked.
+  std::set<RoutineId> CompactPools;
   /// Sum of irBytes over CacheOrder. Atomic so the facade's victim
   /// selection can read it without taking M; mutations stay under M.
   std::atomic<uint64_t> CachedBytes{0};
@@ -501,7 +512,7 @@ void LoaderShard::evictOneLocked(std::unique_lock<std::mutex> &L) {
       (S.SpillTicket != 0 || S.LastRepoSize != 0)) {
     S.Body.reset();
     S.UnloadPending = false;
-    S.State = PoolState::Offloaded;
+    setStateLocked(Victim, PoolState::Offloaded);
     // A pending write-behind entry means the record's offset arrives at
     // writer finalize; until then fetches are served from the queue.
     S.RepoOffset = S.SpillTicket ? 0 : S.LastRepoOffset;
@@ -527,16 +538,18 @@ void LoaderShard::offloadOverBudgetLocked(std::unique_lock<std::mutex> &L) {
     return;
   // Offload in deterministic id order; compact pools carry no LRU order
   // (their last-touch ordering died at compaction), and id order keeps the
-  // pass reproducible.
-  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+  // pass reproducible. offloadPool erases only the visited id (a failed
+  // store re-inserts ids, then SpillDisabled ends the pass), so advancing
+  // before the call keeps the iterator valid.
+  for (auto It = CompactPools.begin(); It != CompactPools.end();) {
     if (SpillDisabled.load(Relaxed) ||
         P.tracker()->liveBytes(MemCategory::HloCompact) <=
             Config.CompactResidentBytes)
       break;
-    if (F.shardOf(R) != Idx)
-      continue;
-    RoutineSlot &S = P.routine(R).Slot;
-    if (S.State == PoolState::Compact && !S.InTransition)
+    RoutineId R = *It++;
+    assert(P.routine(R).Slot.State == PoolState::Compact &&
+           "stale compact-pool index");
+    if (!P.routine(R).Slot.InTransition)
       offloadPool(R, L);
   }
 }
@@ -568,6 +581,14 @@ bool LoaderShard::compactOneVictim() {
 // Shard: compaction / offload / expansion / fault ladder
 //===----------------------------------------------------------------------===//
 
+void LoaderShard::setStateLocked(RoutineId R, PoolState St) {
+  P.routine(R).Slot.State = St;
+  if (St == PoolState::Compact)
+    CompactPools.insert(R);
+  else
+    CompactPools.erase(R);
+}
+
 void LoaderShard::compactPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   RoutineSlot &S = P.routine(R).Slot;
   assert(S.State == PoolState::Expanded && S.UnloadPending &&
@@ -589,7 +610,7 @@ void LoaderShard::compactPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
   S.CompactBytes.assign(std::move(Bytes));
   S.CompactHash = Hash;
-  S.State = PoolState::Compact;
+  setStateLocked(R, PoolState::Compact);
   Stats.Compactions.fetch_add(1, Relaxed);
 }
 
@@ -622,7 +643,7 @@ void LoaderShard::offloadPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   if (S.LastRepoSize != 0 && S.CompactHash == S.LastRawHash &&
       S.CompactBytes.size() == S.LastRawSize) {
     S.CompactBytes.clear();
-    S.State = PoolState::Offloaded;
+    setStateLocked(R, PoolState::Offloaded);
     S.RepoOffset = S.LastRepoOffset;
     S.RepoSize = S.LastRepoSize;
     Stats.Offloads.fetch_add(1, Relaxed);
@@ -644,7 +665,7 @@ void LoaderShard::offloadPool(RoutineId R, std::unique_lock<std::mutex> &L) {
       E->Raw = std::move(Raw);
       E->RawHash = Hash;
       S.SpillTicket = E->Ticket;
-      S.State = PoolState::Offloaded;
+      setStateLocked(R, PoolState::Offloaded);
       S.RepoOffset = 0;
       S.RepoSize = 0;
       SpillQ.push_back(std::move(E));
@@ -675,10 +696,10 @@ void LoaderShard::storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
     S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
     S.CompactBytes.assign(std::move(Raw));
     S.CompactHash = RawHash;
-    S.State = PoolState::Compact;
+    setStateLocked(R, PoolState::Compact);
     return;
   }
-  S.State = PoolState::Offloaded;
+  setStateLocked(R, PoolState::Offloaded);
   S.RepoOffset = *Off;
   S.RepoSize = Env.size();
   S.LastRepoOffset = *Off;
@@ -714,7 +735,7 @@ void LoaderShard::degradeSpillsLocked(RoutineId R, const Status &Cause) {
         S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
         S.CompactBytes.assign(std::move(E->Raw));
         S.CompactHash = E->RawHash;
-        S.State = PoolState::Compact;
+        setStateLocked(E->R, PoolState::Compact);
       }
     }
   }
@@ -873,7 +894,7 @@ void LoaderShard::installBodyLocked(RoutineId R,
   RoutineSlot &S = P.routine(R).Slot;
   S.Body = std::move(Body);
   S.CompactBytes.clear();
-  S.State = PoolState::Expanded;
+  setStateLocked(R, PoolState::Expanded);
   S.UnloadPending = false;
   // The installed body's provenance decides cleanliness; expandPool re-sets
   // the flag for record-sourced bodies. A recovered (object-file) body in
@@ -951,7 +972,7 @@ void LoaderShard::ioThreadMain() {
                   TrackedBuffer(P.tracker(), MemCategory::HloCompact);
               S.CompactBytes.assign(std::move(E->Raw));
               S.CompactHash = E->RawHash;
-              S.State = PoolState::Compact;
+              setStateLocked(E->R, PoolState::Compact);
             }
           }
         } else if (Mine) {
@@ -1279,18 +1300,20 @@ void Loader::relievePressure() {
     if (!AnyUncovered)
       return;
     // Victim = the shard with the most resident cache bytes, lowest index
-    // on ties (stable sort over the index order): deterministic given the
-    // same resident distribution, and it frees the most budget per
-    // compaction.
-    std::vector<unsigned> Order(NumShards);
+    // on ties: it frees the most budget per compaction. Other workers move
+    // the live counters while we look, so sort a copy taken at one instant
+    // — a comparator over live values is no strict weak ordering, and the
+    // sort may then walk off the buffer. The choice is deterministic for a
+    // given copy; which copy we see depends on timing.
+    std::vector<std::pair<uint64_t, unsigned>> Order(NumShards);
     for (unsigned I = 0; I != NumShards; ++I)
-      Order[I] = I;
-    std::stable_sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
-      return ShardList[A]->cacheBytes() > ShardList[B]->cacheBytes();
+      Order[I] = {ShardList[I]->cacheBytes(), I};
+    std::sort(Order.begin(), Order.end(), [](const auto &A, const auto &B) {
+      return A.first != B.first ? A.first > B.first : A.second < B.second;
     });
     bool Progress = false;
-    for (unsigned I : Order)
-      if (ShardList[I]->compactOneVictim()) {
+    for (const auto &Entry : Order)
+      if (ShardList[Entry.second]->compactOneVictim()) {
         Progress = true;
         break;
       }
@@ -1350,6 +1373,16 @@ uint64_t Loader::cacheBytes() const {
   for (const auto &Sh : ShardList)
     Sum += Sh->cacheBytes();
   return Sum;
+}
+
+std::vector<RoutineId> Loader::compactPools() const {
+  std::vector<RoutineId> All;
+  for (const auto &Sh : ShardList) {
+    std::vector<RoutineId> Ids = Sh->compactPools();
+    All.insert(All.end(), Ids.begin(), Ids.end());
+  }
+  std::sort(All.begin(), All.end());
+  return All;
 }
 
 size_t Loader::cachedPoolCount() const {

@@ -331,6 +331,11 @@ public:
   /// based on the number of expanded pools resident in memory").
   size_t cachedPoolCount() const;
 
+  /// Ids of every pool parked in compact residency, ascending, read from
+  /// the shards' offload indexes (so tests can hold them against a scan of
+  /// the routine table).
+  std::vector<RoutineId> compactPools() const;
+
   /// Activity counters, summed over every shard. Returns a snapshot: safe
   /// to call while workers are active, exact once they have joined and
   /// drainSpills() has run.

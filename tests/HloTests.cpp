@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "bytecode/Compact.h"
 #include "frontend/Frontend.h"
 #include "hlo/Cloner.h"
 #include "hlo/Hlo.h"
@@ -621,6 +622,50 @@ func main() { print once(1); return 0; }
   ASSERT_NE(Once, InvalidId);
   EXPECT_FALSE(F.P.routine(Once).Emit);
   EXPECT_TRUE(F.P.routine(F.P.findRoutine("main")).Emit);
+}
+
+TEST(HloPipeline, WpaSnapshotsAreCompactImagesChargedToHloDerived) {
+  // WPA keeps each inline/clone source as a NAIM compact image, charged to
+  // hlo-derived for exactly as long as the plan lives. Each image is the
+  // pristine body's encoding, and LTRANS decodes it to the same result.
+  MemoryTracker Tracker;
+  Program P(&Tracker);
+  FrontendResult FR = compileSource(P, "m", InlineSrc);
+  ASSERT_TRUE(FR.Ok) << FR.Error;
+  NaimConfig C;
+  C.Mode = NaimMode::Off;
+  Loader L(P, C);
+  Statistics Stats;
+  HloContext Ctx(P, L, Stats);
+  uint64_t Expected = interpretProgram(P).OutputChecksum;
+  std::vector<RoutineId> Set;
+  for (RoutineId R = 0; R != P.numRoutines(); ++R)
+    if (P.routine(R).IsDefined)
+      Set.push_back(R);
+  selectEverything(P);
+  HloOptions Opts;
+  Opts.Pbo = false;
+  uint64_t Before = Tracker.liveBytes(MemCategory::HloDerived);
+  {
+    HloPlan Plan = planHlo(Ctx, Set, Opts);
+    ASSERT_FALSE(Plan.Snapshots.empty());
+    uint64_t Sum = 0;
+    for (const auto &[R, Image] : Plan.Snapshots) {
+      Sum += Image.size();
+      // Planning mutates no body, so the live body is still the pristine
+      // one the image was taken from.
+      EXPECT_EQ(Image.bytes(), compactRoutine(P.body(R)))
+          << P.displayName(R);
+    }
+    EXPECT_EQ(Tracker.liveBytes(MemCategory::HloDerived), Before + Sum);
+    EXPECT_EQ(Stats.get("wpa.snapshots"), Plan.Snapshots.size());
+    EXPECT_EQ(Stats.get("wpa.snapshot_bytes"), Sum);
+    runLtrans(Ctx, Set, Plan);
+    EXPECT_EQ(Tracker.liveBytes(MemCategory::HloDerived), Before + Sum);
+  }
+  EXPECT_EQ(Tracker.liveBytes(MemCategory::HloDerived), Before);
+  EXPECT_EQ(verifyProgram(P), "");
+  EXPECT_EQ(interpretProgram(P).OutputChecksum, Expected);
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,6 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace scmo;
 using namespace scmo::test;
 
@@ -962,10 +965,11 @@ TEST(Loader, SingleShardEnospcDegradesOnlyThatShard) {
 }
 
 TEST(Loader, ShardedEvictionIsDeterministic) {
-  // Two identical runs over a sharded loader with a budget tight enough to
-  // trigger arbiter pressure must make identical residency decisions:
-  // victim selection is largest-resident-first with a stable tie-break,
-  // never timing-dependent.
+  // Two identical single-threaded runs over a sharded loader with a budget
+  // tight enough to trigger arbiter pressure must make identical residency
+  // decisions: victim selection is largest-resident-first with a lowest-
+  // index tie-break over one copy of the per-shard byte counts. (Under
+  // concurrency that copy depends on timing; the executable never does.)
   auto Run = [](std::vector<uint64_t> &PerShardCompactions) {
     LoaderFixture F(24);
     NaimConfig C;
@@ -1019,4 +1023,105 @@ TEST(Loader, ShardedPrefetchFollowsTheSchedule) {
   EXPECT_EQ(S.CacheHits, 12u); // Every acquire landed on a prefetched body.
   EXPECT_EQ(S.PrefetchWasted, 0u);
   EXPECT_TRUE(L.firstError().ok());
+}
+
+namespace {
+
+/// Ids whose pool is parked compact, by a full scan of the routine table —
+/// the reference the loader's per-shard offload index must match.
+std::vector<RoutineId> scanCompactPools(const Program &P) {
+  std::vector<RoutineId> Out;
+  for (RoutineId R = 0; R != P.numRoutines(); ++R)
+    if (P.routine(R).Slot.State == PoolState::Compact)
+      Out.push_back(R);
+  return Out;
+}
+
+} // namespace
+
+TEST(Loader, ConcurrentPressureReliefSurvivesResidencyChurn) {
+  // Eight workers acquire and release over four shards under a budget far
+  // below the working set, so relievePressure runs concurrently with the
+  // residency changes it ranks shards by. Its victim ordering must be taken
+  // from one consistent copy of the per-shard byte counts: sorting over the
+  // live counters is no strict weak ordering and can overrun the buffer.
+  const unsigned N = 48, Threads = 8, Rounds = 2000;
+  LoaderFixture F(N);
+  NaimConfig C;
+  C.Mode = NaimMode::Offload;
+  C.ExpandedCacheBytes = 4096;
+  C.CompactResidentBytes = 2048;
+  C.Shards = 4;
+  Loader L(F.P, C);
+  std::vector<std::thread> Workers;
+  std::atomic<unsigned> Bad{0};
+  for (unsigned T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      Prng Rng(100 + T);
+      for (unsigned I = 0; I != Rounds; ++I) {
+        unsigned K = static_cast<unsigned>(Rng.nextBelow(N));
+        RoutineId R = F.Routines[K];
+        int64_t Got = (I & 1) ? retValueOf(L.acquireRead(R))
+                              : retValueOf(L.acquire(R));
+        if (Got != int64_t(K))
+          Bad.fetch_add(1);
+        L.release(R);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  L.drainSpills();
+  EXPECT_EQ(Bad.load(), 0u);
+  EXPECT_GT(L.stats().Compactions, 0u);
+  EXPECT_TRUE(L.firstError().ok());
+  EXPECT_EQ(L.compactPools(), scanCompactPools(F.P));
+  for (unsigned I = 0; I != N; ++I) {
+    EXPECT_EQ(retValueOf(L.acquireRead(F.Routines[I])), int64_t(I));
+    L.release(F.Routines[I]);
+  }
+}
+
+TEST(Loader, CompactPoolIndexMatchesAFullScan) {
+  // The offload stage visits each shard's compact pools from an ordered
+  // index instead of scanning every routine id; the index must name exactly
+  // the pools a scan finds, through compaction, offload, fetch, prefetch and
+  // spill degradation, for one shard and for several.
+  for (unsigned Shards : {1u, 3u}) {
+    LoaderFixture F(24);
+    NaimConfig C;
+    C.Mode = NaimMode::Offload;
+    C.ExpandedCacheBytes = 0;
+    C.CompactResidentBytes = 1024; // Some pools stay compact, some offload.
+    C.PrefetchDepth = 2;
+    C.Shards = Shards;
+    C.Injector = injector("store:fail-nth=12");
+    Loader L(F.P, C);
+    auto Check = [&](const char *Step) {
+      L.drainSpills();
+      L.drainPrefetches();
+      EXPECT_EQ(L.compactPools(), scanCompactPools(F.P))
+          << Step << ", shards=" << Shards;
+    };
+    for (RoutineId R : F.Routines) {
+      L.acquire(R);
+      L.release(R);
+    }
+    Check("first pass");
+    EXPECT_FALSE(L.compactPools().empty()) << "shards=" << Shards;
+    L.setAcquisitionSchedule(F.Routines);
+    for (unsigned I = 0; I != 24; ++I) {
+      EXPECT_EQ(retValueOf(L.acquireRead(F.Routines[I])), int64_t(I));
+      L.release(F.Routines[I]);
+    }
+    L.clearAcquisitionSchedule();
+    Check("read pass");
+    for (unsigned I = 24; I-- > 0;) {
+      EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
+      L.release(F.Routines[I]);
+    }
+    Check("mutable pass");
+    EXPECT_TRUE(L.degraded()) << "the injected store failure never fired";
+    L.enforceBudget(/*Everything=*/true);
+    Check("evict everything");
+  }
 }

@@ -85,6 +85,23 @@ TEST(Shape, Fig4HloMemoryIsSubLinear) {
                               << Small << " -> " << Large;
 }
 
+TEST(Shape, HloPeakStaysNearTheNaimMachineMemory) {
+  // NAIM keeps only the working set expanded, so a +O4 build on a small
+  // machine holds an HLO peak of the order of that machine's memory — WPA's
+  // inline/clone snapshots included, which stay compact until LTRANS
+  // decodes them. At 60k lines the peak is ~1.3x a 4 MiB machine.
+  const uint64_t Machine = 4ull << 20;
+  GeneratedProgram GP = generateProgram(mcadLikeParams(60000, 1));
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.Naim = NaimConfig::autoFor(Machine);
+  BuildRun Out = buildAndRunGP(GP, Opts, nullptr, /*Execute=*/false);
+  EXPECT_GT(Out.Build.Stats.get("wpa.snapshots"), 0u);
+  EXPECT_LE(Out.Build.HloPeakBytes, 2 * Machine)
+      << "HLO peak " << Out.Build.HloPeakBytes << " on a " << Machine
+      << "-byte machine";
+}
+
 TEST(Shape, Fig5NaimMemoryStaircase) {
   GeneratedProgram GP = generateProgram(mcadLikeParams(25000, 1));
   auto peakWith = [&](NaimMode Mode) {
@@ -140,16 +157,19 @@ TEST(Shape, PureCmoUsesMoreHloMemoryThanSelective) {
   CompileOptions Guided = Pure;
   Guided.Pbo = true;
   Guided.SelectivityPercent = 5.0;
-  uint64_t PurePeak =
-      buildAndRunGP(GP, Pure, nullptr, false).Build.HloPeakBytes;
-  uint64_t GuidedPeak =
-      buildAndRunGP(GP, Guided, &Db, false).Build.HloPeakBytes;
+  uint64_t PureState = buildAndRunGP(GP, Pure, nullptr, false)
+                           .Build.Stats.get("wpa.snapshot_bytes");
+  uint64_t GuidedState = buildAndRunGP(GP, Guided, &Db, false)
+                             .Build.Stats.get("wpa.snapshot_bytes");
   // The Section 5 direction: with no profile to focus it, the optimizer
   // works (and holds optimizer state for) the whole program; the selective
-  // compile's HLO footprint is smaller. Our gap is modest because all our
-  // internals scale — see EXPERIMENTS.md for the infeasibility discussion.
-  EXPECT_GT(PurePeak, GuidedPeak)
-      << "pure " << PurePeak << " vs guided " << GuidedPeak;
+  // compile holds less. Measured on the WPA plan's callee snapshots, the
+  // state WPA keeps for every routine it inlines or clones from. The HLO
+  // peak does not separate the two: with the snapshots compact, both
+  // builds peak at the NAIM expanded-cache budget — see EXPERIMENTS.md for
+  // the infeasibility discussion.
+  EXPECT_GT(PureState, GuidedState * 2)
+      << "pure " << PureState << " vs guided " << GuidedState;
 }
 
 TEST(Shape, WpaPlanningKeepsLoaderTrafficSingleVisit) {
