@@ -547,8 +547,6 @@ void LoaderShard::offloadOverBudgetLocked(std::unique_lock<std::mutex> &L) {
             Config.CompactResidentBytes)
       break;
     RoutineId R = *It++;
-    assert(P.routine(R).Slot.State == PoolState::Compact &&
-           "stale compact-pool index");
     if (!P.routine(R).Slot.InTransition)
       offloadPool(R, L);
   }

@@ -331,9 +331,9 @@ public:
   /// based on the number of expanded pools resident in memory").
   size_t cachedPoolCount() const;
 
-  /// Ids of every pool parked in compact residency, ascending, read from
-  /// the shards' offload indexes (so tests can hold them against a scan of
-  /// the routine table).
+  /// Test-only: ids of every pool parked in compact residency, ascending,
+  /// read from the shards' offload indexes, for holding them against a scan
+  /// of the routine table. The compiler itself never calls this.
   std::vector<RoutineId> compactPools() const;
 
   /// Activity counters, summed over every shard. Returns a snapshot: safe

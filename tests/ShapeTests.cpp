@@ -157,17 +157,36 @@ TEST(Shape, PureCmoUsesMoreHloMemoryThanSelective) {
   CompileOptions Guided = Pure;
   Guided.Pbo = true;
   Guided.SelectivityPercent = 5.0;
+  uint64_t PurePeak =
+      buildAndRunGP(GP, Pure, nullptr, false).Build.HloPeakBytes;
+  uint64_t GuidedPeak =
+      buildAndRunGP(GP, Guided, &Db, false).Build.HloPeakBytes;
+  // The Section 5 direction: with no profile to focus it, the optimizer
+  // works (and holds optimizer state for) the whole program; the selective
+  // compile's HLO footprint is smaller. Our gap is modest because all our
+  // internals scale — see EXPERIMENTS.md for the infeasibility discussion.
+  EXPECT_GT(PurePeak, GuidedPeak)
+      << "pure " << PurePeak << " vs guided " << GuidedPeak;
+}
+
+TEST(Shape, PureCmoPlanHoldsMoreSnapshotsThanSelective) {
+  // The WPA state behind the Section 5 direction: pure CMO inlines from
+  // (and so snapshots) every routine it can see, the 5%-selective plan only
+  // the callees of its hot sites. Deterministic, unlike the HLO peak.
+  GeneratedProgram GP = generateProgram(mcadLikeParams(50000, 1));
+  std::string Error;
+  ProfileDb Db = trainProfile(GP, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  CompileOptions Pure;
+  Pure.Level = OptLevel::O4;
+  Pure.Naim = NaimConfig::autoFor(GP.TotalLines * 280);
+  CompileOptions Guided = Pure;
+  Guided.Pbo = true;
+  Guided.SelectivityPercent = 5.0;
   uint64_t PureState = buildAndRunGP(GP, Pure, nullptr, false)
                            .Build.Stats.get("wpa.snapshot_bytes");
   uint64_t GuidedState = buildAndRunGP(GP, Guided, &Db, false)
                              .Build.Stats.get("wpa.snapshot_bytes");
-  // The Section 5 direction: with no profile to focus it, the optimizer
-  // works (and holds optimizer state for) the whole program; the selective
-  // compile holds less. Measured on the WPA plan's callee snapshots, the
-  // state WPA keeps for every routine it inlines or clones from. The HLO
-  // peak does not separate the two: with the snapshots compact, both
-  // builds peak at the NAIM expanded-cache budget — see EXPERIMENTS.md for
-  // the infeasibility discussion.
   EXPECT_GT(PureState, GuidedState * 2)
       << "pure " << PureState << " vs guided " << GuidedState;
 }

@@ -451,6 +451,7 @@ TEST(CacheDirProtocol, GcBudgetEnforcedUnderConcurrentReader) {
   // successful load must be frame-valid — an eviction can make a reader
   // miss, never hand it torn bytes.
   std::atomic<bool> Stop{false};
+  std::atomic<bool> FirstPassDone{false};
   std::atomic<uint64_t> TornReads{0};
   std::atomic<uint64_t> GoodReads{0};
   std::thread Reader([&] {
@@ -464,8 +465,14 @@ TEST(CacheDirProtocol, GcBudgetEnforcedUnderConcurrentReader) {
         else
           TornReads.fetch_add(1);
       }
+      FirstPassDone.store(true);
     }
   });
+  // Start GC only once the reader is running: on a loaded machine the
+  // thread may otherwise not be scheduled before GC has finished, and the
+  // test would exercise no concurrency at all.
+  while (!FirstPassDone.load())
+    std::this_thread::yield();
 
   const uint64_t Budget = 4 * 516; // four 500+16-byte entries
   cachedir::GcResult Gc = cachedir::collectGarbage(Dir, Budget, nullptr);
