@@ -950,11 +950,9 @@ void LoaderShard::ioThreadMain() {
       Expected<uint64_t> Off = Repo.store(Env, E->Raw.size());
       {
         std::unique_lock<std::mutex> LM(M);
-        {
-          std::lock_guard<std::mutex> Q2(QM);
-          SpillQ.pop_front();
-          SpillBusy = false;
-        }
+        // The entry stays queued and busy until the slot is updated: the
+        // slot-grow barrier waits for an empty, idle queue, and S must not
+        // outlive the routine table it points into.
         RoutineSlot &S = P.routine(E->R).Slot;
         // A dirtied pool may have re-spilled under a newer ticket while we
         // stored; then this record is simply dead space in the repository.
@@ -984,6 +982,9 @@ void LoaderShard::ioThreadMain() {
             S.RepoSize = Env.size();
           }
         }
+        std::lock_guard<std::mutex> Q2(QM);
+        SpillQ.pop_front();
+        SpillBusy = false;
       }
       QIdleCv.notify_all();
       Q.lock();

@@ -1081,6 +1081,47 @@ TEST(Loader, ConcurrentPressureReliefSurvivesResidencyChurn) {
   }
 }
 
+TEST(Loader, FailedSpillSurvivesRoutineTableGrowth) {
+  // The frontend's pattern: declare a routine, define it, release it into
+  // an offload-everything loader, repeat. Releases queue write-behind
+  // spills, and the first store fails with ENOSPC, so the I/O thread
+  // degrades the loader and restores pools while later declarations grow
+  // the routine table. The grow barrier must not let the table move while
+  // the I/O thread still writes a slot, or that pool is lost.
+  for (unsigned Iter = 0; Iter != 40; ++Iter) {
+    MemoryTracker Tracker;
+    Program P{&Tracker};
+    ModuleId M = P.addModule("m");
+    NaimConfig C;
+    C.Mode = NaimMode::Offload;
+    C.ExpandedCacheBytes = 0;
+    C.CompactResidentBytes = 0;
+    C.Injector = injector("store:enospc-nth=1");
+    Loader L(P, C);
+    std::vector<RoutineId> Routines;
+    for (unsigned I = 0; I != 96; ++I) {
+      RoutineId R = P.declareRoutine(M, "r" + std::to_string(I), 0, false);
+      auto Body = std::make_unique<RoutineBody>(&Tracker);
+      Body->NextReg = 1;
+      Body->newBlock();
+      Instr *Ret = Body->newInstr(Opcode::Ret);
+      Ret->A = Operand::imm(int64_t(I));
+      Body->Blocks[0].Instrs.push_back(Ret);
+      P.defineRoutine(R, M, std::move(Body));
+      L.release(R);
+      Routines.push_back(R);
+    }
+    L.drainSpills();
+    ASSERT_TRUE(L.degraded()) << "the injected store failure never fired";
+    for (unsigned I = 0; I != Routines.size(); ++I) {
+      ASSERT_EQ(retValueOf(L.acquireRead(Routines[I])), int64_t(I))
+          << "iteration " << Iter;
+      L.release(Routines[I]);
+    }
+    ASSERT_TRUE(L.firstError().ok()) << L.firstError().toString();
+  }
+}
+
 TEST(Loader, CompactPoolIndexMatchesAFullScan) {
   // The offload stage visits each shard's compact pools from an ordered
   // index instead of scanning every routine id; the index must name exactly
