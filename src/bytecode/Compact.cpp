@@ -98,19 +98,33 @@ OpShape shapeOf(Opcode Op) {
   scmo_unreachable("invalid opcode");
 }
 
-constexpr uint32_t FormatVersion = 1;
+/// Version 2 added the body's instruction and call-argument counts to the
+/// header, so a decode sizes the arena once.
+constexpr uint32_t FormatVersion = 2;
+
+/// Fewest bytes one encoded instruction occupies: the opcode byte and the
+/// line delta.
+constexpr uint64_t MinInstrBytes = 2;
 
 } // namespace
 
 std::vector<uint8_t> scmo::compactRoutine(const RoutineBody &Body,
                                           const SymRemap &Remap) {
+  uint64_t NumInstrs = 0, NumArgs = 0;
+  for (const BasicBlock &BB : Body.Blocks) {
+    NumInstrs += BB.Instrs.size();
+    for (const Instr *I : BB.Instrs)
+      NumArgs += I->NumArgs;
+  }
   std::vector<uint8_t> Out;
-  Out.reserve(Body.instrCount() * 6 + 64);
+  Out.reserve(NumInstrs * 6 + 64);
   encodeVarUInt(Out, FormatVersion);
   encodeVarUInt(Out, Body.NumParams);
   encodeVarUInt(Out, Body.NextReg);
   encodeVarUInt(Out, Body.SourceLines);
   Out.push_back(Body.HasProfile ? 1 : 0);
+  encodeVarUInt(Out, NumInstrs);
+  encodeVarUInt(Out, NumArgs);
   encodeVarUInt(Out, Body.Blocks.size());
   for (const BasicBlock &BB : Body.Blocks) {
     if (Body.HasProfile) {
@@ -172,10 +186,22 @@ std::unique_ptr<RoutineBody> scmo::expandRoutine(const uint8_t *Data,
   uint8_t HasProfile = 0;
   Reader.readBytes(&HasProfile, 1);
   Body->HasProfile = HasProfile != 0;
+  uint64_t TotalInstrs = Reader.readVarUInt();
+  uint64_t TotalArgs = Reader.readVarUInt();
   uint64_t NumBlocks = Reader.readVarUInt();
   if (Reader.hadError())
     return nullptr;
+  // Every count is bounded by the bytes left: a block takes at least one
+  // byte, an instruction MinInstrBytes, an argument one. A corrupt header
+  // must yield null, not a huge allocation.
+  uint64_t Left = Reader.remaining();
+  if (NumBlocks > Left || TotalInstrs > Left / MinInstrBytes ||
+      TotalArgs > Left ||
+      NumBlocks + TotalInstrs * MinInstrBytes + TotalArgs > Left)
+    return nullptr;
+  Body->reserveExact(TotalInstrs, TotalArgs);
   Body->Blocks.resize(NumBlocks);
+  uint64_t SeenInstrs = 0, SeenArgs = 0;
   for (uint64_t B = 0; B != NumBlocks; ++B) {
     BasicBlock &BB = Body->Blocks[B];
     if (Body->HasProfile) {
@@ -183,8 +209,9 @@ std::unique_ptr<RoutineBody> scmo::expandRoutine(const uint8_t *Data,
       BB.TakenFreq = Reader.readVarUInt();
     }
     uint64_t NumInstrs = Reader.readVarUInt();
-    if (Reader.hadError() || NumInstrs > Size)
+    if (Reader.hadError() || NumInstrs > TotalInstrs - SeenInstrs)
       return nullptr;
+    SeenInstrs += NumInstrs;
     BB.Instrs.reserve(NumInstrs);
     uint32_t PrevLine = 0;
     for (uint64_t Idx = 0; Idx != NumInstrs; ++Idx) {
@@ -213,8 +240,9 @@ std::unique_ptr<RoutineBody> scmo::expandRoutine(const uint8_t *Data,
         I->T2 = static_cast<BlockId>(Reader.readVarUInt());
       if (S.HasArgs) {
         uint64_t N = Reader.readVarUInt();
-        if (Reader.hadError() || N > 0xffff)
+        if (Reader.hadError() || N > 0xffff || N > TotalArgs - SeenArgs)
           return nullptr;
+        SeenArgs += N;
         I->NumArgs = static_cast<uint16_t>(N);
         I->Args = Body->newArgArray(I->NumArgs);
         for (unsigned A = 0; A != I->NumArgs; ++A)
@@ -231,7 +259,7 @@ std::unique_ptr<RoutineBody> scmo::expandRoutine(const uint8_t *Data,
       BB.Instrs.push_back(I);
     }
   }
-  if (Reader.hadError())
+  if (Reader.hadError() || SeenInstrs != TotalInstrs || SeenArgs != TotalArgs)
     return nullptr;
   return Body;
 }

@@ -21,6 +21,15 @@
 ///  - *derived-data dropping*: nothing recomputable is encoded — expanded
 ///    instructions are ~72 bytes, encoded ones typically 4-8.
 ///
+/// Image layout (FormatVersion 2), all integers varints unless noted:
+/// version, NumParams, NextReg, SourceLines, HasProfile (one byte), the
+/// body's total instruction count, its total call-argument count, the block
+/// count, then each block (profile counts if HasProfile, instruction count,
+/// instructions). Version 2 added the two totals: expandRoutine sizes the
+/// body's arena from them once, so a decoded body is one exact-size slab
+/// with no growth tail. They are checked against the bytes left in the image
+/// before anything is allocated and against the decoded counts afterwards.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCMO_BYTECODE_COMPACT_H
@@ -51,7 +60,9 @@ std::vector<uint8_t> compactRoutine(const RoutineBody &Body,
                                     const SymRemap &Remap = {});
 
 /// Decodes a compact form back into a fresh expanded body whose arena charges
-/// \p Tracker. Returns null on malformed input.
+/// \p Tracker and holds one slab of exactly the decoded IR's size. Returns
+/// null on malformed input, including counts the image is too short to hold
+/// and images of another format version.
 std::unique_ptr<RoutineBody> expandRoutine(const std::vector<uint8_t> &Bytes,
                                            MemoryTracker *Tracker,
                                            const SymRemap &Remap = {});

@@ -1001,6 +1001,16 @@ BuildResult CompilerSession::build() {
       .add(B.Link);
   P.run(B.Result.Stages);
   B.Result.Memory = Tracker->snapshot();
+  // Slab tails stranded in the bodies that outlive the build. Readahead is
+  // drained first so no loader thread is installing a body mid-scan.
+  Ldr->drainPrefetches();
+  for (RoutineId R = 0; R != Prog->numRoutines(); ++R) {
+    const RoutineSlot &Slot = Prog->routine(R).Slot;
+    if (Slot.State == PoolState::Expanded && Slot.Body) {
+      const Arena &A = Slot.Body->arena();
+      B.Result.Memory.ResidentWasteBytes += A.bytesAllocated() - A.usedBytes();
+    }
+  }
   for (const StageMetrics &M : B.Result.Stages) {
     if (M.Name == "wpa" || M.Name == "ltrans")
       B.Result.HloSeconds += M.Seconds;

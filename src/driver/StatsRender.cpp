@@ -48,6 +48,10 @@ std::string scmo::renderStatsText(const BuildResult &Build) {
           Build.Exe.Code.size());
   appendf(Out, "; HLO peak %.2f MiB, total peak %.2f MiB\n",
           mib(Build.HloPeakBytes), mib(Build.TotalPeakBytes));
+  // Parsing runs in addSource, before build(), so the frontend stage row
+  // below does not include it.
+  appendf(Out, "; frontend (addSource) %.3fs, total %.3fs\n",
+          Build.FrontendSeconds, Build.TotalSeconds);
   appendf(Out,
           "; loader: %llu compactions, %llu offloads, %llu cache hits\n",
           (unsigned long long)Build.Loader.Compactions,
@@ -127,7 +131,7 @@ std::string scmo::renderStatsText(const BuildResult &Build) {
       }
     }
 
-    uint64_t TotalWaste = 0;
+    uint64_t TotalWaste = MP.ResidentWasteBytes;
     std::string WastePerCat;
     for (unsigned C = 0; C != NumCats; ++C) {
       TotalWaste += MP.CategoryWaste[C];
@@ -138,6 +142,12 @@ std::string scmo::renderStatsText(const BuildResult &Build) {
                 memCategoryName(static_cast<MemCategory>(C)),
                 mib(MP.CategoryWaste[C]));
       }
+    }
+    if (MP.ResidentWasteBytes) {
+      if (!WastePerCat.empty())
+        WastePerCat += ", ";
+      appendf(WastePerCat, "resident in bodies at build end %.2f MiB",
+              mib(MP.ResidentWasteBytes));
     }
     appendf(Out, "; arena waste %.2f MiB total", mib(TotalWaste));
     if (!WastePerCat.empty()) {
@@ -251,8 +261,11 @@ std::string scmo::renderStatsJson(const BuildResult &Build) {
             memCategoryName(static_cast<MemCategory>(C)),
             (unsigned long long)MP.CategoryWaste[C]);
   }
-  appendf(Out, "},\"underflow_events\":%llu,\"underflow_category\":%d},",
-          (unsigned long long)MP.UnderflowEvents, MP.UnderflowCategory);
+  appendf(Out,
+          "},\"underflow_events\":%llu,\"underflow_category\":%d,"
+          "\"resident_waste_bytes\":%llu},",
+          (unsigned long long)MP.UnderflowEvents, MP.UnderflowCategory,
+          (unsigned long long)MP.ResidentWasteBytes);
   Out += "\"statistics\":{";
   bool FirstStat = true;
   for (const auto &[Name, Value] : Build.Stats.all()) {
@@ -262,8 +275,10 @@ std::string scmo::renderStatsJson(const BuildResult &Build) {
     appendf(Out, "\"%s\":%llu", Name.c_str(), (unsigned long long)Value);
   }
   Out += "},";
-  appendf(Out, "\"exe_xxh64\":\"%016llx\"",
+  appendf(Out, "\"exe_xxh64\":\"%016llx\",",
           (unsigned long long)hashExecutable(Build.Exe));
+  appendf(Out, "\"frontend_seconds\":%.6f,\"total_seconds\":%.6f",
+          Build.FrontendSeconds, Build.TotalSeconds);
   Out += "}\n";
   return Out;
 }

@@ -22,18 +22,22 @@
 
 namespace scmo {
 
-/// The classic --stats block: summary lines, loader/NAIM I/O counters, the
-/// per-stage table, the per-stage/per-category allocation profile (with the
-/// arena-waste column and the worst (stage, category) pairs), the
-/// statistics registry, and the executable content hash.
+/// The classic --stats block: summary lines (peaks, frontend and total
+/// seconds), loader/NAIM I/O counters, the per-stage table, the
+/// per-stage/per-category allocation profile (with the arena-waste column,
+/// the worst (stage, category) pairs and the waste line, which counts the
+/// slab tails of bodies still resident), the statistics registry, and the
+/// executable content hash.
 std::string renderStatsText(const BuildResult &Build);
 
 /// The same data as one JSON object with fixed key order:
 /// source_lines, routines, instrs, hlo_peak_bytes, total_peak_bytes,
-/// loader, naim_io, stages, memory_profile, statistics, exe_xxh64.
-/// Within memory_profile: stages, arena_waste, underflow_events,
-/// underflow_category. Cell keys: category, allocs, alloc_bytes,
-/// release_bytes, peak_live_bytes, waste_bytes.
+/// loader, naim_io, stages, memory_profile, statistics, exe_xxh64,
+/// frontend_seconds, total_seconds. Within memory_profile: stages,
+/// arena_waste, underflow_events, underflow_category, resident_waste_bytes.
+/// Cell keys: category, allocs, alloc_bytes, release_bytes,
+/// peak_live_bytes, waste_bytes. New keys are appended at the end of their
+/// object, so positional consumers keep working.
 std::string renderStatsJson(const BuildResult &Build);
 
 } // namespace scmo

@@ -183,7 +183,7 @@ private:
     uint32_t StartLine = cur().Line;
     ++Pos;
     expect(TokKind::LParen, "'('");
-    Body = std::make_unique<RoutineBody>(P.tracker());
+    Body.clear();
     Locals.clear();
     std::vector<std::string_view> ParamNames;
     if (!at(TokKind::RParen)) {
@@ -193,28 +193,28 @@ private:
       } while (accept(TokKind::Comma));
     }
     expect(TokKind::RParen, "')'");
-    Body->NumParams = static_cast<uint32_t>(ParamNames.size());
+    Body.NumParams = static_cast<uint32_t>(ParamNames.size());
     for (std::string_view PName : ParamNames) {
-      RegId R = Body->newReg();
+      RegId R = Body.newReg();
       if (!Locals.emplace(std::string(PName), R).second)
         return error("duplicate parameter name");
     }
-    CurBlock = Body->newBlock();
+    CurBlock = Body.newBlock();
     if (!parseBlock())
       return false;
     uint32_t EndLine = Pos ? Toks[Pos - 1].Line : StartLine;
     // Patch every unterminated block with an implicit "return 0".
-    for (BlockId B = 0; B != Body->Blocks.size(); ++B) {
-      BasicBlock &BB = Body->Blocks[B];
+    for (BlockId B = 0; B != Body.Blocks.size(); ++B) {
+      BasicBlock &BB = Body.Blocks[B];
       if (!BB.Instrs.empty() && BB.Instrs.back()->isTerm())
         continue;
-      Instr *RetI = Body->newInstr(Opcode::Ret);
+      Instr *RetI = Body.newInstr(Opcode::Ret);
       RetI->A = Operand::imm(0);
       RetI->Line = EndLine;
       BB.Instrs.push_back(RetI);
     }
-    Body->SourceLines = EndLine >= StartLine ? EndLine - StartLine + 1 : 1;
-    RoutineId R = P.declareRoutine(M, Name, Body->NumParams, IsStatic);
+    Body.SourceLines = EndLine >= StartLine ? EndLine - StartLine + 1 : 1;
+    RoutineId R = P.declareRoutine(M, Name, Body.NumParams, IsStatic);
     if (P.routine(R).IsDefined)
       return error("redefinition of function '" + std::string(Name) + "'");
     // Record debug information in the module symbol table (bulk symbol data
@@ -236,7 +236,9 @@ private:
     for (uint32_t L = StartLine; L <= EndLine; ++L)
       LineMap << " " << L - StartLine << ":" << (L * 7 % 9973);
     P.module(M).Symtab.addRecord(LineMap.str());
-    P.defineRoutine(R, M, std::move(Body));
+    // Install an exact-size copy: the scratch's slab tail and any slack in
+    // its instruction lists stay behind for the next routine.
+    P.defineRoutine(R, M, copyRoutineBody(Body, P.tracker()));
     return true;
   }
 
@@ -267,7 +269,7 @@ private:
       }
       if (!expect(TokKind::Semi, "';'"))
         return false;
-      RegId R = Body->newReg();
+      RegId R = Body.newReg();
       if (!Locals.emplace(LName, R).second)
         return error("duplicate local '" + LName + "'");
       emitMov(R, Init, Line);
@@ -279,7 +281,7 @@ private:
         return false;
       if (!expect(TokKind::Semi, "';'"))
         return false;
-      Instr *I = Body->newInstr(Opcode::Ret);
+      Instr *I = Body.newInstr(Opcode::Ret);
       I->A = V;
       I->Line = Line;
       emit(I);
@@ -292,7 +294,7 @@ private:
         return false;
       if (!expect(TokKind::Semi, "';'"))
         return false;
-      Instr *I = Body->newInstr(Opcode::Print);
+      Instr *I = Body.newInstr(Opcode::Print);
       I->A = V;
       I->Line = Line;
       emit(I);
@@ -362,9 +364,9 @@ private:
       return false;
     if (!expect(TokKind::RParen, "')'"))
       return false;
-    BlockId ThenB = Body->newBlock();
+    BlockId ThenB = Body.newBlock();
     BlockId MergeB = InvalidId; // allocated lazily
-    Instr *BrI = Body->newInstr(Opcode::Br);
+    Instr *BrI = Body.newInstr(Opcode::Br);
     BrI->A = materialize(Cond, Line);
     BrI->T1 = ThenB;
     BrI->Line = Line;
@@ -375,18 +377,18 @@ private:
       return false;
     BlockId ThenEnd = CurBlock;
     if (accept(TokKind::KwElse)) {
-      BlockId ElseB = Body->newBlock();
-      Body->Blocks[CondBlock].Instrs.back()->T2 = ElseB;
+      BlockId ElseB = Body.newBlock();
+      Body.Blocks[CondBlock].Instrs.back()->T2 = ElseB;
       CurBlock = ElseB;
       if (!parseBlock())
         return false;
       BlockId ElseEnd = CurBlock;
-      MergeB = Body->newBlock();
+      MergeB = Body.newBlock();
       appendJmpIfOpen(ThenEnd, MergeB, Line);
       appendJmpIfOpen(ElseEnd, MergeB, Line);
     } else {
-      MergeB = Body->newBlock();
-      Body->Blocks[CondBlock].Instrs.back()->T2 = MergeB;
+      MergeB = Body.newBlock();
+      Body.Blocks[CondBlock].Instrs.back()->T2 = MergeB;
       appendJmpIfOpen(ThenEnd, MergeB, Line);
     }
     CurBlock = MergeB;
@@ -394,7 +396,7 @@ private:
   }
 
   bool parseWhile(uint32_t Line) {
-    BlockId HeaderB = Body->newBlock();
+    BlockId HeaderB = Body.newBlock();
     appendJmpIfOpen(CurBlock, HeaderB, Line);
     CurBlock = HeaderB;
     if (!expect(TokKind::LParen, "'('"))
@@ -404,11 +406,11 @@ private:
       return false;
     if (!expect(TokKind::RParen, "')'"))
       return false;
-    BlockId BodyB = Body->newBlock();
-    BlockId ExitB = Body->newBlock();
+    BlockId BodyB = Body.newBlock();
+    BlockId ExitB = Body.newBlock();
     // The loop back-edge is the hot direction; lower the condition as
     // "br cond ? body : exit" so profile-guided layout sees the bias.
-    Instr *BrI = Body->newInstr(Opcode::Br);
+    Instr *BrI = Body.newInstr(Opcode::Br);
     BrI->A = materialize(Cond, Line);
     BrI->T1 = BodyB;
     BrI->T2 = ExitB;
@@ -507,8 +509,8 @@ private:
         Out = Operand::imm(-Inner.asImm());
         return true;
       }
-      Instr *I = Body->newInstr(Opcode::Neg);
-      I->Dst = Body->newReg();
+      Instr *I = Body.newInstr(Opcode::Neg);
+      I->Dst = Body.newReg();
       I->A = Inner;
       I->Line = Line;
       emit(I);
@@ -545,8 +547,8 @@ private:
       GlobalId G = resolveGlobal(Name);
       if (G == InvalidId)
         return error("unknown array '" + std::string(Name) + "'");
-      Instr *I = Body->newInstr(Opcode::LoadIdx);
-      I->Dst = Body->newReg();
+      Instr *I = Body.newInstr(Opcode::LoadIdx);
+      I->Dst = Body.newReg();
       I->Sym = G;
       I->A = Idx;
       I->Line = Line;
@@ -563,8 +565,8 @@ private:
     GlobalId G = resolveGlobal(Name);
     if (G == InvalidId)
       return error("unknown identifier '" + std::string(Name) + "'");
-    Instr *I = Body->newInstr(Opcode::LoadG);
-    I->Dst = Body->newReg();
+    Instr *I = Body.newInstr(Opcode::LoadG);
+    I->Dst = Body.newReg();
     I->Sym = G;
     I->Line = Line;
     emit(I);
@@ -596,11 +598,11 @@ private:
       return error("call to '" + std::string(Name) + "' passes " +
                    std::to_string(Args.size()) + " args, expected " +
                    std::to_string(RI.NumParams));
-    Instr *I = Body->newInstr(Opcode::Call);
-    I->Dst = Body->newReg();
+    Instr *I = Body.newInstr(Opcode::Call);
+    I->Dst = Body.newReg();
     I->Sym = Callee;
     I->NumArgs = static_cast<uint16_t>(Args.size());
-    I->Args = Body->newArgArray(I->NumArgs);
+    I->Args = Body.newArgArray(I->NumArgs);
     for (size_t A = 0; A != Args.size(); ++A)
       I->Args[A] = Args[A];
     I->Line = Line;
@@ -613,12 +615,12 @@ private:
   // Lowering helpers
   //===--------------------------------------------------------------------===
 
-  void emit(Instr *I) { Body->Blocks[CurBlock].Instrs.push_back(I); }
+  void emit(Instr *I) { Body.Blocks[CurBlock].Instrs.push_back(I); }
 
-  void emitTo(BlockId B, Instr *I) { Body->Blocks[B].Instrs.push_back(I); }
+  void emitTo(BlockId B, Instr *I) { Body.Blocks[B].Instrs.push_back(I); }
 
   void emitMov(RegId Dst, Operand Src, uint32_t Line) {
-    Instr *I = Body->newInstr(Opcode::Mov);
+    Instr *I = Body.newInstr(Opcode::Mov);
     I->Dst = Dst;
     I->A = Src;
     I->Line = Line;
@@ -626,8 +628,8 @@ private:
   }
 
   Operand emitBinary(Opcode Op, Operand Lhs, Operand Rhs, uint32_t Line) {
-    Instr *I = Body->newInstr(Op);
-    I->Dst = Body->newReg();
+    Instr *I = Body.newInstr(Op);
+    I->Dst = Body.newReg();
     I->A = Lhs;
     I->B = Rhs;
     I->Line = Line;
@@ -643,10 +645,10 @@ private:
   }
 
   void appendJmpIfOpen(BlockId B, BlockId Target, uint32_t Line) {
-    BasicBlock &BB = Body->Blocks[B];
+    BasicBlock &BB = Body.Blocks[B];
     if (!BB.Instrs.empty() && BB.Instrs.back()->isTerm())
       return;
-    Instr *I = Body->newInstr(Opcode::Jmp);
+    Instr *I = Body.newInstr(Opcode::Jmp);
     I->T1 = Target;
     I->Line = Line;
     emitTo(B, I);
@@ -654,7 +656,7 @@ private:
 
   /// After a mid-block 'return': subsequent statements go into a fresh,
   /// unreachable block (cleaned up by SimplifyCfg).
-  void startDeadBlock() { CurBlock = Body->newBlock(); }
+  void startDeadBlock() { CurBlock = Body.newBlock(); }
 
   bool lowerStore(std::string_view Name, Operand V, uint32_t Line) {
     auto It = Locals.find(std::string(Name));
@@ -665,7 +667,7 @@ private:
     GlobalId G = resolveGlobal(Name);
     if (G == InvalidId)
       return error("unknown identifier '" + std::string(Name) + "'");
-    Instr *I = Body->newInstr(Opcode::StoreG);
+    Instr *I = Body.newInstr(Opcode::StoreG);
     I->Sym = G;
     I->A = V;
     I->Line = Line;
@@ -678,7 +680,7 @@ private:
     GlobalId G = resolveGlobal(Name);
     if (G == InvalidId)
       return error("unknown array '" + std::string(Name) + "'");
-    Instr *I = Body->newInstr(Opcode::StoreIdx);
+    Instr *I = Body.newInstr(Opcode::StoreIdx);
     I->Sym = G;
     I->A = Idx;
     I->B = V;
@@ -701,7 +703,9 @@ private:
   size_t Pos = 0;
   std::string Err;
 
-  std::unique_ptr<RoutineBody> Body;
+  /// Scratch body each routine is lowered into, reused across the module.
+  /// Its arena counts as frontend memory, not HLO IR.
+  RoutineBody Body{P.tracker(), MemCategory::Other};
   std::map<std::string, RegId> Locals;
   BlockId CurBlock = 0;
 };

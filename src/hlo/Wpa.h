@@ -136,11 +136,6 @@ struct HloPlan {
   }
 };
 
-/// Deep-copies \p Src into a fresh body charged to \p Tracker (clone
-/// materialization and versioned-callee replay).
-std::unique_ptr<RoutineBody> copyRoutineBody(const RoutineBody &Src,
-                                             MemoryTracker *Tracker);
-
 /// Plans HLO over \p Set. Construct, run the phases in pipeline order, then
 /// take() the plan. Each phase mirrors its serial predecessor's heuristics
 /// and operation gating; none of them mutates any routine body.

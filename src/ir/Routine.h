@@ -20,6 +20,7 @@
 #include "support/Arena.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace scmo {
@@ -47,9 +48,11 @@ struct BasicBlock {
 /// Expanded routine body: blocks + the arena the instructions live in.
 class RoutineBody {
 public:
-  /// Creates an empty body charging IR bytes to \p Tracker (may be null).
-  explicit RoutineBody(MemoryTracker *Tracker = nullptr)
-      : IrArena(Tracker, MemCategory::HloIr, /*SlabSize=*/8 * 1024) {}
+  /// Creates an empty body charging IR bytes to \p Tracker (may be null)
+  /// under \p Cat.
+  explicit RoutineBody(MemoryTracker *Tracker = nullptr,
+                       MemCategory Cat = MemCategory::HloIr)
+      : IrArena(Tracker, Cat, /*SlabSize=*/8 * 1024) {}
 
   std::vector<BasicBlock> Blocks;
 
@@ -77,6 +80,31 @@ public:
     return N ? IrArena.allocateArray<Operand>(N) : nullptr;
   }
 
+  /// Arena bytes that \p NumInstrs instructions carrying \p NumArgs call
+  /// arguments in all occupy.
+  static uint64_t irBytesFor(uint64_t NumInstrs, uint64_t NumArgs) {
+    static_assert(sizeof(Instr) % alignof(Operand) == 0 &&
+                      sizeof(Operand) % alignof(Instr) == 0,
+                  "IR objects must pack without padding");
+    return NumInstrs * sizeof(Instr) + NumArgs * sizeof(Operand);
+  }
+
+  /// Gives a still-empty body one arena slab of exactly the size its
+  /// \p NumInstrs instructions and \p NumArgs call arguments need, for
+  /// bodies built whole (decode, copy). Later mutation grows the arena.
+  void reserveExact(uint64_t NumInstrs, uint64_t NumArgs) {
+    IrArena.reserveExact(irBytesFor(NumInstrs, NumArgs));
+  }
+
+  /// Empties the body for reuse as a scratch pool: drops every block and
+  /// instruction and rewinds the arena, keeping its largest slab.
+  void clear() {
+    Blocks.clear();
+    NumParams = NextReg = SourceLines = 0;
+    HasProfile = false;
+    IrArena.rewind();
+  }
+
   /// Allocates a fresh virtual register.
   RegId newReg() { return NextReg++; }
 
@@ -89,6 +117,7 @@ public:
   /// Access to the underlying arena (for passes that build instructions in
   /// bulk, e.g. the inliner copying a callee).
   Arena &arena() { return IrArena; }
+  const Arena &arena() const { return IrArena; }
 
   /// Bytes of expanded IR held by this body's arena.
   uint64_t irBytes() const { return IrArena.bytesAllocated(); }
@@ -107,6 +136,12 @@ public:
 private:
   Arena IrArena;
 };
+
+/// Deep-copies the live instructions of \p Src into a fresh body charged to
+/// \p Tracker, in one arena slab of exactly their size (frontend lowering,
+/// clone materialization, versioned-callee replay).
+std::unique_ptr<RoutineBody> copyRoutineBody(const RoutineBody &Src,
+                                             MemoryTracker *Tracker);
 
 } // namespace scmo
 

@@ -57,15 +57,19 @@ public:
     Tracker = Other.Tracker;
     Cat = Other.Cat;
     SlabSize = Other.SlabSize;
+    LastGrowth = Other.LastGrowth;
     Slabs = std::move(Other.Slabs);
     Cur = Other.Cur;
     End = Other.End;
     Allocated = Other.Allocated;
     Used = Other.Used;
+    FillPeak = Other.FillPeak;
     Other.Slabs.clear();
+    Other.LastGrowth = 0;
     Other.Cur = Other.End = nullptr;
     Other.Allocated = 0;
     Other.Used = 0;
+    Other.FillPeak = 0;
     return *this;
   }
 
@@ -97,6 +101,18 @@ public:
     return static_cast<T *>(allocate(sizeof(T) * N, alignof(T)));
   }
 
+  /// Gives an empty arena one slab of exactly \p Bytes, for a pool whose
+  /// final size is known before it is filled (a body decoded or copied
+  /// whole). Filling it exactly leaves no tail. Growth past it starts the
+  /// geometric sequence from its first step, as in a fresh arena, so the
+  /// slabs a later mutation adds stay small. No-op on a non-empty arena.
+  void reserveExact(size_t Bytes) {
+    assert(Slabs.empty() && "exact slab must be the arena's first");
+    if (!Slabs.empty() || !Bytes)
+      return;
+    addSlab(Bytes);
+  }
+
   /// Frees every slab and returns the arena to its initial state. This is
   /// the "return the pool's memory to the free list" operation from the
   /// paper's garbage collection discussion.
@@ -104,13 +120,45 @@ public:
     for (auto &S : Slabs)
       std::free(S.first);
     if (Tracker && Allocated) {
-      Tracker->noteArenaWaste(Cat, Allocated > Used ? Allocated - Used : 0);
+      uint64_t Filled = Used > FillPeak ? Used : FillPeak;
+      Tracker->noteArenaWaste(Cat, Allocated > Filled ? Allocated - Filled : 0);
       Tracker->release(Cat, Allocated);
     }
     Slabs.clear();
+    LastGrowth = 0;
     Cur = End = nullptr;
     Allocated = 0;
     Used = 0;
+    FillPeak = 0;
+  }
+
+  /// Drops every object but keeps the largest slab, for a scratch pool
+  /// that is refilled many times (the frontend lowers each routine into
+  /// one). The waste reset() later notes is the capacity that no fill
+  /// reached, not what the last fill left unused.
+  void rewind() {
+    if (Slabs.empty())
+      return;
+    size_t Keep = 0;
+    for (size_t I = 1; I != Slabs.size(); ++I)
+      if (Slabs[I].second > Slabs[Keep].second)
+        Keep = I;
+    uint64_t Freed = 0;
+    for (size_t I = 0; I != Slabs.size(); ++I)
+      if (I != Keep) {
+        std::free(Slabs[I].first);
+        Freed += Slabs[I].second;
+      }
+    std::swap(Slabs[0], Slabs[Keep]);
+    Slabs.resize(1);
+    if (Tracker && Freed)
+      Tracker->release(Cat, Freed);
+    Allocated -= Freed;
+    if (Used > FillPeak)
+      FillPeak = Used;
+    Used = 0;
+    Cur = static_cast<char *>(Slabs[0].first);
+    End = Cur + Slabs[0].second;
   }
 
   /// Total bytes held by this arena's slabs (capacity, not just used bytes —
@@ -137,15 +185,21 @@ private:
     // toward SlabSize and beyond, capped so huge arenas stop
     // over-reserving. The gentler factor trades a few extra mallocs on big
     // arenas for a much smaller unused tail on the final slab, which is
-    // what peak-resident accounting actually sees.
+    // what peak-resident accounting actually sees. An exact slab
+    // (reserveExact) is not a step of this sequence.
     size_t Size = SlabSize / 8 < 256 ? size_t(256) : SlabSize / 8;
-    if (!Slabs.empty()) {
-      Size = Slabs.back().second + Slabs.back().second / 2;
+    if (LastGrowth) {
+      Size = LastGrowth + LastGrowth / 2;
       if (Size > MaxSlabBytes)
         Size = MaxSlabBytes;
     }
     if (Size < MinBytes)
       Size = MinBytes;
+    LastGrowth = Size;
+    addSlab(Size);
+  }
+
+  void addSlab(size_t Size) {
     void *Mem = std::malloc(Size);
     if (!Mem) {
       // Out of host memory: nothing sensible to do in a no-exceptions
@@ -163,11 +217,13 @@ private:
   MemoryTracker *Tracker = nullptr;
   MemCategory Cat = MemCategory::Other;
   size_t SlabSize = 64 * 1024;
+  size_t LastGrowth = 0; ///< Size of the last geometric slab, 0 if none.
   std::vector<std::pair<void *, size_t>> Slabs;
   char *Cur = nullptr;
   char *End = nullptr;
   uint64_t Allocated = 0;
   uint64_t Used = 0;
+  uint64_t FillPeak = 0; ///< Largest Used seen at a rewind().
 };
 
 /// A byte buffer charged to a MemoryTracker category. Used for compacted

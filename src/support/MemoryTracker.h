@@ -101,6 +101,11 @@ struct MemoryProfile {
   /// Release-underflow diagnostics (see MemoryTracker::release).
   uint64_t UnderflowEvents = 0;
   int UnderflowCategory = -1; ///< First underflowing category, -1 if none.
+  /// Slab capacity-minus-used of the IR bodies still resident when the
+  /// build ended. Arena::reset notes waste only when a pool is freed, so
+  /// without this the tails of every body alive to the end go unreported.
+  /// Filled in by the driver, not by snapshot().
+  uint64_t ResidentWasteBytes = 0;
 
   const Cell &cell(unsigned Stage, MemCategory Cat) const {
     return Cells[size_t(Stage) * NumCats + static_cast<unsigned>(Cat)];

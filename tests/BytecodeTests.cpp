@@ -17,6 +17,7 @@
 #include "bytecode/Compact.h"
 #include "bytecode/ObjectFile.h"
 #include "frontend/Frontend.h"
+#include "support/VarInt.h"
 
 #include <gtest/gtest.h>
 
@@ -114,6 +115,82 @@ TEST(Compact, TruncatedInputYieldsNull) {
 TEST(Compact, GarbageInputYieldsNull) {
   std::vector<uint8_t> Garbage = {0xff, 0xfe, 0x01, 0x80, 0x80, 0x80};
   EXPECT_EQ(expandRoutine(Garbage, nullptr), nullptr);
+}
+
+TEST(Compact, ExpandedBodyIsOneExactSlab) {
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    Prng Rng(Seed);
+    auto Body = randomBody(Rng, 4, 4, Seed % 2 == 0);
+    auto Out = expandRoutine(compactRoutine(*Body), nullptr);
+    ASSERT_NE(Out, nullptr) << "seed " << Seed;
+    if (!Out->instrCount())
+      continue; // Nothing to hold: no slab at all.
+    EXPECT_EQ(Out->arena().slabCount(), 1u) << "seed " << Seed;
+    EXPECT_EQ(Out->arena().bytesAllocated(), Out->arena().usedBytes())
+        << "seed " << Seed;
+  }
+}
+
+namespace {
+
+/// A version-2 image header with the given counts and nothing after it.
+std::vector<uint8_t> imageHeader(uint64_t Instrs, uint64_t Args,
+                                 uint64_t Blocks) {
+  std::vector<uint8_t> Out;
+  encodeVarUInt(Out, 2); // FormatVersion
+  encodeVarUInt(Out, 0); // NumParams
+  encodeVarUInt(Out, 0); // NextReg
+  encodeVarUInt(Out, 0); // SourceLines
+  Out.push_back(0);      // HasProfile
+  encodeVarUInt(Out, Instrs);
+  encodeVarUInt(Out, Args);
+  encodeVarUInt(Out, Blocks);
+  return Out;
+}
+
+} // namespace
+
+TEST(Compact, HugeBlockCountYieldsNull) {
+  // A short image declaring 2^32-1 blocks used to reach Blocks.resize and
+  // abort with std::bad_alloc.
+  std::vector<uint8_t> Image = imageHeader(0, 0, 0xffffffffu);
+  EXPECT_LE(Image.size(), 12u);
+  EXPECT_EQ(expandRoutine(Image, nullptr), nullptr);
+}
+
+TEST(Compact, HugeSizeHeaderYieldsNull) {
+  EXPECT_EQ(expandRoutine(imageHeader(uint64_t(1) << 40, 0, 1), nullptr),
+            nullptr);
+  EXPECT_EQ(expandRoutine(imageHeader(0, uint64_t(1) << 40, 1), nullptr),
+            nullptr);
+  EXPECT_EQ(expandRoutine(imageHeader(~uint64_t(0), ~uint64_t(0), 1),
+                          nullptr),
+            nullptr);
+}
+
+TEST(Compact, SizeHeaderMustMatchTheBody) {
+  Prng Rng(3);
+  auto Body = randomBody(Rng, 2, 2, false);
+  ASSERT_GT(Body->instrCount(), 0u);
+  std::vector<uint8_t> Good = compactRoutine(*Body);
+  ASSERT_NE(expandRoutine(Good, nullptr), nullptr);
+  // Byte 5 is the instruction total (one byte for this small body): an
+  // image that under- or over-states it is corrupt.
+  ASSERT_EQ(Good[5], Body->instrCount());
+  for (int Delta : {-1, 1}) {
+    std::vector<uint8_t> Bad = Good;
+    Bad[5] = static_cast<uint8_t>(Bad[5] + Delta);
+    EXPECT_EQ(expandRoutine(Bad, nullptr), nullptr) << "delta " << Delta;
+  }
+}
+
+TEST(Compact, OtherFormatVersionsYieldNull) {
+  Prng Rng(4);
+  std::vector<uint8_t> Image = compactRoutine(*randomBody(Rng, 2, 2, false));
+  for (uint8_t Version : {0, 1, 3}) {
+    Image[0] = Version;
+    EXPECT_EQ(expandRoutine(Image, nullptr), nullptr) << int(Version);
+  }
 }
 
 TEST(Compact, ChargesTrackerOnExpand) {

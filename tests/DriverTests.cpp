@@ -206,7 +206,8 @@ TEST(Driver, StatsJsonKeyOrderIsStable) {
       "\"source_lines\"",   "\"routines\"",       "\"instrs\"",
       "\"hlo_peak_bytes\"", "\"total_peak_bytes\"", "\"loader\"",
       "\"naim_io\"",        "\"stages\"",         "\"memory_profile\"",
-      "\"statistics\"",     "\"exe_xxh64\""};
+      "\"statistics\"",     "\"exe_xxh64\"",      "\"frontend_seconds\"",
+      "\"total_seconds\""};
   size_t Prev = 0;
   for (const char *Key : TopLevel) {
     size_t At = Json.find(Key, Prev);
@@ -219,7 +220,8 @@ TEST(Driver, StatsJsonKeyOrderIsStable) {
   size_t MpAt = Json.find("\"memory_profile\"");
   ASSERT_NE(MpAt, std::string::npos);
   const char *MpKeys[] = {"\"arena_waste\"", "\"underflow_events\"",
-                          "\"underflow_category\""};
+                          "\"underflow_category\"",
+                          "\"resident_waste_bytes\""};
   Prev = MpAt;
   for (const char *Key : MpKeys) {
     size_t At = Json.find(Key, Prev);
@@ -231,6 +233,30 @@ TEST(Driver, StatsJsonKeyOrderIsStable) {
   EXPECT_NE(Json.find("\"category\""), std::string::npos);
   EXPECT_NE(Json.find("\"waste_bytes\""), std::string::npos);
   EXPECT_NE(Json.find("\"llo\""), std::string::npos);
+}
+
+TEST(Driver, StatsReportFrontendTimeAndResidentSlabTails) {
+  // Parsing runs in addSource, before build(), and the slab tails of bodies
+  // alive at build end are never freed by a reset that would note them:
+  // both must still show in --stats.
+  GeneratedProgram GP = testProgram(11);
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.Naim.Mode = NaimMode::Off; // Every body stays resident.
+  BuildResult Build = buildGP(GP, Opts);
+  ASSERT_TRUE(Build.Ok) << Build.Error;
+  EXPECT_GT(Build.FrontendSeconds, 0.0);
+  EXPECT_GE(Build.TotalSeconds, Build.FrontendSeconds);
+  // O4 inlining grows bodies past their exact first slab.
+  EXPECT_GT(Build.Memory.ResidentWasteBytes, 0u);
+  std::string Text = renderStatsText(Build);
+  EXPECT_NE(Text.find("; frontend (addSource) "), std::string::npos) << Text;
+  EXPECT_NE(Text.find("resident in bodies at build end"), std::string::npos)
+      << Text;
+  std::string Json = renderStatsJson(Build);
+  EXPECT_NE(Json.find("\"resident_waste_bytes\":" +
+                      std::to_string(Build.Memory.ResidentWasteBytes)),
+            std::string::npos);
 }
 
 TEST(Driver, InstrumentedBuildsSkipOptimization) {

@@ -339,3 +339,34 @@ func main() {
   EXPECT_NE(P.module(FR.Module).Symtab.records()[0].find("func tiny"),
             std::string::npos);
 }
+
+TEST(Frontend, InstallsEveryBodyAsOneExactSlab) {
+  // Each routine is lowered into the parser's reused scratch arena and
+  // installed as an exact-size copy: no growth slabs, no tail.
+  MemoryTracker T;
+  Program P(&T);
+  GeneratedProgram GP = generateProgram(mcadLikeParams(3000, 1));
+  for (const GeneratedModule &GM : GP.Modules)
+    ASSERT_TRUE(compileSource(P, GM.Name, GM.Source).Ok) << GM.Name;
+  uint64_t Bodies = 0, BodyBytes = 0;
+  uint32_t MaxInstrs = 0;
+  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+    const RoutineInfo &RI = P.routine(R);
+    if (!RI.IsDefined)
+      continue;
+    const Arena &A = RI.Slot.Body->arena();
+    EXPECT_EQ(A.slabCount(), 1u) << P.displayName(R);
+    EXPECT_EQ(A.bytesAllocated(), A.usedBytes()) << P.displayName(R);
+    ++Bodies;
+    BodyBytes += A.bytesAllocated();
+    MaxInstrs = std::max(MaxInstrs, RI.Slot.Body->instrCount());
+  }
+  ASSERT_GT(Bodies, 10u);
+  // Some body outgrew the 1 KiB first slab a growing arena starts with.
+  EXPECT_GT(RoutineBody::irBytesFor(MaxInstrs, 0), 1024u);
+  // The scratch arenas are frontend memory and were freed with their
+  // parsers: what is left under hlo-ir is exactly the installed bodies.
+  EXPECT_EQ(T.liveBytes(MemCategory::HloIr), BodyBytes);
+  EXPECT_EQ(T.liveBytes(MemCategory::Other), 0u);
+  EXPECT_EQ(verifyProgram(P), "");
+}

@@ -136,6 +136,45 @@ TEST(ModuleSymtab, CompactAndExpandRoundTrip) {
 // Checksums
 //===----------------------------------------------------------------------===//
 
+TEST(RoutineBody, CopyIsOneExactSlabOfTheLiveInstructions) {
+  // Clone materialization and frontend installation copy a body whole: the
+  // copy holds exactly its live instructions and call arguments in one slab,
+  // whatever garbage and growth slabs the source carried.
+  MemoryTracker T;
+  RoutineBody Src(&T);
+  Src.NumParams = 1;
+  Src.NextReg = 2;
+  Src.newBlock();
+  for (int I = 0; I != 200; ++I) {
+    Instr *Call = Src.newInstr(Opcode::Call);
+    Call->Dst = 1;
+    Call->Sym = 0;
+    Call->NumArgs = 2;
+    Call->Args = Src.newArgArray(2);
+    Call->Args[0] = Operand::reg(0);
+    Call->Args[1] = Operand::imm(I);
+    Src.Blocks[0].Instrs.push_back(Call);
+  }
+  Instr *Ret = Src.newInstr(Opcode::Ret);
+  Ret->A = Operand::reg(1);
+  Src.Blocks[0].Instrs.push_back(Ret);
+  // Splice out half the calls: their bytes stay behind as garbage.
+  auto &Instrs = Src.Blocks[0].Instrs;
+  Instrs.erase(Instrs.begin(), Instrs.begin() + 100);
+  ASSERT_GT(Src.arena().slabCount(), 1u);
+
+  uint64_t Before = T.liveBytes(MemCategory::HloIr);
+  auto Copy = copyRoutineBody(Src, &T);
+  EXPECT_EQ(Copy->arena().slabCount(), 1u);
+  EXPECT_EQ(Copy->arena().bytesAllocated(), Copy->arena().usedBytes());
+  EXPECT_EQ(Copy->irBytes(), RoutineBody::irBytesFor(101, 200));
+  EXPECT_EQ(T.liveBytes(MemCategory::HloIr) - Before, Copy->irBytes());
+  EXPECT_EQ(computeChecksum(*Copy), computeChecksum(Src));
+  ASSERT_EQ(Copy->instrCount(), 101u);
+  EXPECT_EQ(Copy->Blocks[0].Instrs[0]->Args[1].asImm(), 100);
+  EXPECT_NE(Copy->Blocks[0].Instrs[0]->Args, Src.Blocks[0].Instrs[0]->Args);
+}
+
 TEST(Checksum, SensitiveToStructuralEdits) {
   auto Body = trivialBody(1);
   uint64_t Base = computeChecksum(*Body);

@@ -483,6 +483,80 @@ TEST(Arena, ResetReportsWasteToTracker) {
   EXPECT_EQ(T.liveBytes(MemCategory::Llo), 0u);
 }
 
+TEST(Arena, ExactFirstSlabHoldsTheRequestWithNoTail) {
+  MemoryTracker T;
+  Arena A(&T, MemCategory::HloIr, 8 * 1024);
+  A.reserveExact(3 * 72 + 2 * 16);
+  EXPECT_EQ(A.slabCount(), 1u);
+  EXPECT_EQ(A.bytesAllocated(), 3u * 72 + 2 * 16);
+  EXPECT_EQ(T.liveBytes(MemCategory::HloIr), 3u * 72 + 2 * 16);
+  // Filling it exactly, at the IR's own alignment, does not grow it.
+  for (int I = 0; I != 3; ++I)
+    A.allocate(72, 8);
+  for (int I = 0; I != 2; ++I)
+    A.allocate(16, 8);
+  EXPECT_EQ(A.slabCount(), 1u);
+  EXPECT_EQ(A.usedBytes(), A.bytesAllocated());
+  A.reset();
+  EXPECT_EQ(T.arenaWasteBytes(MemCategory::HloIr), 0u);
+}
+
+TEST(Arena, GrowthAfterAnExactSlabMatchesAFreshArena) {
+  // The exact slab is not a step of the geometric sequence: the slabs that
+  // mutation adds afterwards are the ones a fresh arena would add.
+  Arena Fresh(nullptr, MemCategory::Other, 8 * 1024);
+  Arena Exact(nullptr, MemCategory::Other, 8 * 1024);
+  Exact.reserveExact(100000);
+  Exact.allocate(100000, 8);
+  uint64_t Base = Exact.bytesAllocated();
+  for (int I = 0; I != 200; ++I) {
+    Fresh.allocate(72, 8);
+    Exact.allocate(72, 8);
+    EXPECT_EQ(Exact.slabCount(), Fresh.slabCount() + 1);
+    EXPECT_EQ(Exact.bytesAllocated() - Base, Fresh.bytesAllocated());
+  }
+  EXPECT_GT(Fresh.slabCount(), 2u); // The sequence really did grow.
+}
+
+TEST(Arena, ReserveExactIsANoOpOnAnEmptyRequest) {
+  Arena A;
+  A.reserveExact(0);
+  EXPECT_EQ(A.slabCount(), 0u);
+  EXPECT_EQ(A.bytesAllocated(), 0u);
+}
+
+TEST(Arena, RewindKeepsOnlyTheLargestSlab) {
+  MemoryTracker T;
+  Arena A(&T, MemCategory::Other, 8 * 1024);
+  for (int I = 0; I != 100; ++I)
+    A.allocate(72, 8);
+  ASSERT_GT(A.slabCount(), 2u);
+  A.rewind();
+  EXPECT_EQ(A.slabCount(), 1u);
+  EXPECT_EQ(A.usedBytes(), 0u);
+  EXPECT_EQ(T.liveBytes(MemCategory::Other), A.bytesAllocated());
+  // The kept slab is refilled before anything new is malloc'd.
+  uint64_t Kept = A.bytesAllocated();
+  for (uint64_t Used = 72; Used <= Kept; Used += 72)
+    A.allocate(72, 8);
+  EXPECT_EQ(A.slabCount(), 1u);
+  // The first fill outgrew the kept slab, so no capacity went unreached.
+  A.reset();
+  EXPECT_EQ(T.arenaWasteBytes(MemCategory::Other), 0u);
+  EXPECT_EQ(T.liveBytes(MemCategory::Other), 0u);
+}
+
+TEST(Arena, RewoundArenaReportsCapacityNoFillReached) {
+  MemoryTracker T;
+  Arena A(&T, MemCategory::Other, 8 * 1024);
+  A.allocate(100, 8);
+  uint64_t Capacity = A.bytesAllocated();
+  A.rewind();
+  A.allocate(40, 8); // A smaller fill does not lower the high-water mark.
+  A.reset();
+  EXPECT_EQ(T.arenaWasteBytes(MemCategory::Other), Capacity - 100);
+}
+
 //===----------------------------------------------------------------------===//
 // Stage-scope allocation profile
 //===----------------------------------------------------------------------===//
