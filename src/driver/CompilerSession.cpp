@@ -1001,9 +1001,11 @@ BuildResult CompilerSession::build() {
       .add(B.Link);
   P.run(B.Result.Stages);
   B.Result.Memory = Tracker->snapshot();
-  // Slab tails stranded in the bodies that outlive the build. Readahead is
-  // drained first so no loader thread is installing a body mid-scan.
+  // Slab tails stranded in the bodies that outlive the build. Readahead and
+  // write-behind are drained first so no loader thread touches a slot
+  // mid-scan (a failed stage can stop the pipeline with spills queued).
   Ldr->drainPrefetches();
+  Ldr->drainSpills();
   for (RoutineId R = 0; R != Prog->numRoutines(); ++R) {
     const RoutineSlot &Slot = Prog->routine(R).Slot;
     if (Slot.State == PoolState::Expanded && Slot.Body) {

@@ -139,7 +139,7 @@ private:
 
 /// Deep-copies the live instructions of \p Src into a fresh body charged to
 /// \p Tracker, in one arena slab of exactly their size (frontend lowering,
-/// clone materialization, versioned-callee replay).
+/// clone materialization).
 std::unique_ptr<RoutineBody> copyRoutineBody(const RoutineBody &Src,
                                              MemoryTracker *Tracker);
 

@@ -63,13 +63,11 @@ public:
     End = Other.End;
     Allocated = Other.Allocated;
     Used = Other.Used;
-    FillPeak = Other.FillPeak;
     Other.Slabs.clear();
     Other.LastGrowth = 0;
     Other.Cur = Other.End = nullptr;
     Other.Allocated = 0;
     Other.Used = 0;
-    Other.FillPeak = 0;
     return *this;
   }
 
@@ -120,8 +118,7 @@ public:
     for (auto &S : Slabs)
       std::free(S.first);
     if (Tracker && Allocated) {
-      uint64_t Filled = Used > FillPeak ? Used : FillPeak;
-      Tracker->noteArenaWaste(Cat, Allocated > Filled ? Allocated - Filled : 0);
+      Tracker->noteArenaWaste(Cat, Allocated > Used ? Allocated - Used : 0);
       Tracker->release(Cat, Allocated);
     }
     Slabs.clear();
@@ -129,13 +126,11 @@ public:
     Cur = End = nullptr;
     Allocated = 0;
     Used = 0;
-    FillPeak = 0;
   }
 
   /// Drops every object but keeps the largest slab, for a scratch pool
   /// that is refilled many times (the frontend lowers each routine into
-  /// one). The waste reset() later notes is the capacity that no fill
-  /// reached, not what the last fill left unused.
+  /// one).
   void rewind() {
     if (Slabs.empty())
       return;
@@ -154,8 +149,6 @@ public:
     if (Tracker && Freed)
       Tracker->release(Cat, Freed);
     Allocated -= Freed;
-    if (Used > FillPeak)
-      FillPeak = Used;
     Used = 0;
     Cur = static_cast<char *>(Slabs[0].first);
     End = Cur + Slabs[0].second;
@@ -223,7 +216,6 @@ private:
   char *End = nullptr;
   uint64_t Allocated = 0;
   uint64_t Used = 0;
-  uint64_t FillPeak = 0; ///< Largest Used seen at a rewind().
 };
 
 /// A byte buffer charged to a MemoryTracker category. Used for compacted
